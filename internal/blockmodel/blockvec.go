@@ -52,19 +52,6 @@ func (b *blockVec) reset(c int) {
 // for tests asserting the shrink policy holds.
 func (b *blockVec) retainedCap() int { return cap(b.val) }
 
-// bulkLoad installs unique (key, value) pairs as the vector's entire
-// contents in their given order, replacing the per-entry touch protocol
-// with tight loops. The vector must be freshly reset; values must be
-// nonzero and keys unique and in-range.
-func (b *blockVec) bulkLoad(keys []int32, vals []int64) {
-	b.keys = append(b.keys[:0], keys...)
-	g := b.gen
-	for i, k := range keys {
-		b.val[k] = vals[i]
-		b.stamp[k] = g
-	}
-}
-
 // touch ensures slot k belongs to the current generation.
 func (b *blockVec) touch(k int32) {
 	if b.stamp[k] != b.gen {

@@ -3,11 +3,17 @@ package blockmodel
 import "math"
 
 // This file implements the incremental ΔMDL computations at the core of
-// every SBP variant. Moving vertex v from block r to block s (or merging
-// block r into s) only changes rows r, s and columns r, s of the block
-// matrix plus the four block degrees, so the likelihood delta is computed
-// over that restricted set — O(deg(v) + nnz(rows/cols r,s)) instead of
-// O(nnz(M)).
+// every SBP variant. They use the decomposition of the log-likelihood
+// (Eq. 1) into entry and degree terms, with f(x) = x·ln x:
+//
+//	L = Σ_rs f(M_rs) − Σ_r f(dOut_r) − Σ_s f(dIn_s)
+//
+// which holds because row sums of M are DOut and column sums are DIn.
+// Moving vertex v from block r to block s (or merging block r into s)
+// edits a few entries of rows r, s and columns r, s and changes four
+// block degrees, so ΔS = −ΔL is a sum over the edited entries and the
+// changed degrees only: O(deg v) for a move, O(nnz of row and column r)
+// for a merge, each entry read with one matrix lookup.
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
 // of the whole system, so all intermediates live in a reusable Scratch
@@ -21,21 +27,13 @@ import "math"
 // Scratch.
 type Scratch struct {
 	out, in                blockVec // vertex→block edge tallies
-	rowR, rowS, colR, colS blockVec // restricted matrix view
+	rowR, rowS, colR, colS blockVec // folded edit deltas per row/column r, s
 	edits                  []edit
 	wFwd, wBwd             blockVec // Hastings neighbour weights
 }
 
 // NewScratch returns an empty Scratch ready for use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// resetViews prepares the restricted-view containers for block count c.
-func (sc *Scratch) resetViews(c int) {
-	sc.rowR.reset(c)
-	sc.rowS.reset(c)
-	sc.colR.reset(c)
-	sc.colS.reset(c)
-}
 
 // VertexCounts tallies how vertex v's incident edges distribute over
 // blocks under a given assignment. Self-loops are counted separately
@@ -143,61 +141,15 @@ func (bm *Blockmodel) mergeEdits(r, s int32, sc *Scratch) {
 	})
 }
 
-// loadRestricted snapshots rows/cols r and s of bm.M into sc's view.
-// Both storage modes bypass the per-entry callback/touch protocol: the
-// sparse mode bulk-copies the sorted nonzero slices, the dense mode
-// scans the backing array directly. Entry order (ascending index) is
-// identical to RowNZ/ColNZ — the deterministic-accumulation guarantee
-// the entropy sums below rely on.
-func (bm *Blockmodel) loadRestricted(r, s int32, sc *Scratch) {
-	sc.resetViews(bm.C)
-	if data, ok := bm.M.DenseData(); ok {
-		c := bm.C
-		loadDenseRow(&sc.rowR, data[int(r)*c:int(r)*c+c])
-		loadDenseRow(&sc.rowS, data[int(s)*c:int(s)*c+c])
-		loadDenseCol(&sc.colR, data, c, int(r))
-		loadDenseCol(&sc.colS, data, c, int(s))
-		return
-	}
-	k, v, _ := bm.M.RowView(int(r))
-	sc.rowR.bulkLoad(k, v)
-	k, v, _ = bm.M.RowView(int(s))
-	sc.rowS.bulkLoad(k, v)
-	k, v, _ = bm.M.ColView(int(r))
-	sc.colR.bulkLoad(k, v)
-	k, v, _ = bm.M.ColView(int(s))
-	sc.colS.bulkLoad(k, v)
-}
-
-// loadDenseRow fills a freshly reset bv from a dense length-C row.
-func loadDenseRow(bv *blockVec, row []int64) {
-	g := bv.gen
-	for t, v := range row {
-		if v != 0 {
-			bv.val[t] = v
-			bv.stamp[t] = g
-			bv.keys = append(bv.keys, int32(t))
-		}
-	}
-}
-
-// loadDenseCol fills a freshly reset bv from column s of the row-major
-// dense array.
-func loadDenseCol(bv *blockVec, data []int64, c, s int) {
-	g := bv.gen
-	for t, i := 0, s; t < c; t, i = t+1, i+c {
-		if v := data[i]; v != 0 {
-			bv.val[t] = v
-			bv.stamp[t] = g
-			bv.keys = append(bv.keys, int32(t))
-		}
-	}
-}
-
-// applyEdits applies sc.edits to the restricted view. Each edit is
-// applied to every container that covers its coordinate, keeping corner
-// entries (e.g. M[r][s], present in rowR and colS) consistent.
-func (sc *Scratch) applyEdits(r, s int32) {
+// foldEdits folds sc.edits into per-coordinate deltas. Each edit is
+// added to every container that covers its coordinate, so corner
+// entries (e.g. M[r][s], covered by rowR and colS) carry the same delta
+// in both; entriesDelta counts each coordinate once.
+func (sc *Scratch) foldEdits(r, s int32, c int) {
+	sc.rowR.reset(c)
+	sc.rowS.reset(c)
+	sc.colR.reset(c)
+	sc.colS.reset(c)
 	for _, e := range sc.edits {
 		if e.i == r {
 			sc.rowR.add(e.j, e.delta)
@@ -214,107 +166,62 @@ func (sc *Scratch) applyEdits(r, s int32) {
 	}
 }
 
-// entropyTerm is −m·ln(m / (dOut·dIn)), the description-length
-// contribution of one block-matrix entry; 0 when m is 0.
-func entropyTerm(m, dOut, dIn int64) float64 {
-	if m <= 0 {
+// xlogx is f(x) = x·ln x, taken as 0 for x ≤ 0: an empty entry
+// contributes nothing, and so does an entry or degree that a stale
+// asynchronous view drives below zero.
+func xlogx(x int64) float64 {
+	if x <= 0 {
 		return 0
 	}
-	return -float64(m) * math.Log(float64(m)/(float64(dOut)*float64(dIn)))
+	f := float64(x)
+	return f * math.Log(f)
 }
 
-// degreePatch is a copy-free view of a degree vector with the two
-// moved-block entries overridden; it avoids allocating O(C) per
-// proposal.
-type degreePatch struct {
-	base   []int64
-	a, b   int32
-	av, bv int64
-}
-
-func (p degreePatch) at(i int32) int64 {
-	switch i {
-	case p.a:
-		return p.av
-	case p.b:
-		return p.bv
-	}
-	return p.base[i]
-}
-
-// restrictedEntropyBase sums the description-length contributions of
-// the restricted set in sc under the model's unmodified block degrees,
-// counting corner entries exactly once: rows r and s in full, columns
-// r and s excluding rows r and s. The loops walk the blockVec arrays
-// directly — no callback, no stamp checks, no patch branches — but add
-// terms in exactly the order iterate would, so the float accumulation
-// is bit-identical to the pre-optimization kernel.
-func (sc *Scratch) restrictedEntropyBase(r, s int32, dOut, dIn []int64) float64 {
+// entriesDelta returns Σ f(m+δ) − f(m) over the coordinates edited in
+// sc, counting each exactly once: rows r and s in full, columns r and s
+// excluding rows r and s. Old entries are read from bm.M directly.
+func (bm *Blockmodel) entriesDelta(r, s int32, sc *Scratch) float64 {
 	var h float64
-	dor, dos := dOut[r], dOut[s]
 	for _, t := range sc.rowR.keys {
-		if m := sc.rowR.val[t]; m != 0 {
-			h += entropyTerm(m, dor, dIn[t])
+		if d := sc.rowR.val[t]; d != 0 {
+			m := bm.M.Get(int(r), int(t))
+			h += xlogx(m+d) - xlogx(m)
 		}
 	}
 	for _, t := range sc.rowS.keys {
-		if m := sc.rowS.val[t]; m != 0 {
-			h += entropyTerm(m, dos, dIn[t])
+		if d := sc.rowS.val[t]; d != 0 {
+			m := bm.M.Get(int(s), int(t))
+			h += xlogx(m+d) - xlogx(m)
 		}
 	}
-	dir, dis := dIn[r], dIn[s]
 	for _, t := range sc.colR.keys {
 		if t == r || t == s {
 			continue
 		}
-		if m := sc.colR.val[t]; m != 0 {
-			h += entropyTerm(m, dOut[t], dir)
+		if d := sc.colR.val[t]; d != 0 {
+			m := bm.M.Get(int(t), int(r))
+			h += xlogx(m+d) - xlogx(m)
 		}
 	}
 	for _, t := range sc.colS.keys {
 		if t == r || t == s {
 			continue
 		}
-		if m := sc.colS.val[t]; m != 0 {
-			h += entropyTerm(m, dOut[t], dis)
+		if d := sc.colS.val[t]; d != 0 {
+			m := bm.M.Get(int(t), int(s))
+			h += xlogx(m+d) - xlogx(m)
 		}
 	}
 	return h
 }
 
-// restrictedEntropyPatched is restrictedEntropyBase with the r/s
-// entries of both degree vectors overridden (the post-move degrees).
-func (sc *Scratch) restrictedEntropyPatched(r, s int32, dOut, dIn degreePatch) float64 {
-	var h float64
-	dor, dos := dOut.at(r), dOut.at(s)
-	for _, t := range sc.rowR.keys {
-		if m := sc.rowR.val[t]; m != 0 {
-			h += entropyTerm(m, dor, dIn.at(t))
-		}
-	}
-	for _, t := range sc.rowS.keys {
-		if m := sc.rowS.val[t]; m != 0 {
-			h += entropyTerm(m, dos, dIn.at(t))
-		}
-	}
-	dir, dis := dIn.at(r), dIn.at(s)
-	for _, t := range sc.colR.keys {
-		if t == r || t == s {
-			continue
-		}
-		if m := sc.colR.val[t]; m != 0 {
-			h += entropyTerm(m, dOut.at(t), dir)
-		}
-	}
-	for _, t := range sc.colS.keys {
-		if t == r || t == s {
-			continue
-		}
-		if m := sc.colS.val[t]; m != 0 {
-			h += entropyTerm(m, dOut.at(t), dis)
-		}
-	}
-	return h
+// degreesDelta returns Σ f(d') − f(d) over the four block degrees a
+// transfer of kOut out-endpoints and kIn in-endpoints from block r to
+// block s changes.
+func (bm *Blockmodel) degreesDelta(r, s int32, kOut, kIn int64) float64 {
+	dor, dos, dir, dis := bm.DOut[r], bm.DOut[s], bm.DIn[r], bm.DIn[s]
+	return xlogx(dor-kOut) - xlogx(dor) + xlogx(dos+kOut) - xlogx(dos) +
+		xlogx(dir-kIn) - xlogx(dir) + xlogx(dis+kIn) - xlogx(dis)
 }
 
 // MoveDelta holds the result of evaluating a proposed vertex move. It
@@ -345,7 +252,7 @@ func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta
 		// self-loop, which would count twice) touches one neighbour block,
 		// so the edit list is two entries and no per-block tally is
 		// needed. The entries match what CountVertex+moveEdits would
-		// produce, so the entropy sums below are bit-identical.
+		// produce, so ΔS is bit-identical to the general path's.
 		var t int32
 		sc.edits = sc.edits[:0]
 		if out := bm.G.OutNeighbors(v); len(out) == 1 {
@@ -361,15 +268,8 @@ func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta
 		md.counts = bm.CountVertex(v, b, sc)
 		sc.moveEdits(md.counts, r, s)
 	}
-	bm.loadRestricted(r, s, sc)
-	before := sc.restrictedEntropyBase(r, s, bm.DOut, bm.DIn)
-	sc.applyEdits(r, s)
-	// Updated degrees: only blocks r and s change.
-	kOut, kIn := md.counts.KOut, md.counts.KIn
-	newDOut := degreePatch{base: bm.DOut, a: r, av: bm.DOut[r] - kOut, b: s, bv: bm.DOut[s] + kOut}
-	newDIn := degreePatch{base: bm.DIn, a: r, av: bm.DIn[r] - kIn, b: s, bv: bm.DIn[s] + kIn}
-	after := sc.restrictedEntropyPatched(r, s, newDOut, newDIn)
-	md.DeltaS = after - before
+	sc.foldEdits(r, s, bm.C)
+	md.DeltaS = bm.degreesDelta(r, s, md.counts.KOut, md.counts.KIn) - bm.entriesDelta(r, s, sc)
 	md.EmptiesSrc = bm.Sizes[r] == 1
 	return md
 }
@@ -406,11 +306,6 @@ func (bm *Blockmodel) EvalMerge(r, s int32, sc *Scratch) float64 {
 		return 0
 	}
 	bm.mergeEdits(r, s, sc)
-	bm.loadRestricted(r, s, sc)
-	before := sc.restrictedEntropyBase(r, s, bm.DOut, bm.DIn)
-	sc.applyEdits(r, s)
-	newDOut := degreePatch{base: bm.DOut, a: r, av: 0, b: s, bv: bm.DOut[s] + bm.DOut[r]}
-	newDIn := degreePatch{base: bm.DIn, a: r, av: 0, b: s, bv: bm.DIn[s] + bm.DIn[r]}
-	after := sc.restrictedEntropyPatched(r, s, newDOut, newDIn)
-	return after - before
+	sc.foldEdits(r, s, bm.C)
+	return bm.degreesDelta(r, s, bm.DOut[r], bm.DIn[r]) - bm.entriesDelta(r, s, sc)
 }

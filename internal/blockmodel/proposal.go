@@ -126,7 +126,8 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 // HastingsCorrection computes p(s→r | b') / p(r→s | b) for an evaluated
 // move, the factor that keeps the Metropolis-Hastings chain reversible
 // under the neighbour-guided proposal. It must be called on the most
-// recent MoveDelta evaluated on its Scratch.
+// recent MoveDelta evaluated on its Scratch, before ApplyMove commits
+// it: post-move entries are read as current entries plus edit deltas.
 //
 // Following Peixoto (2014):
 //
@@ -134,11 +135,10 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 //
 // where t ranges over the blocks of v's neighbours, w_t is the number of
 // edges between v and block t, and the backward probability uses the
-// post-move matrix and degrees. Post-move entries of row r and column r
-// are read straight from the Scratch's restricted view, which EvalMove
-// left in its post-edit state — no edit-list folding and no binary
-// searches into M. Degree-1 vertices short-circuit to single-term
-// probability sums.
+// post-move matrix and degrees. A post-move entry of row r or column r
+// is the current entry plus the folded edit delta EvalMove left in the
+// Scratch: M'[t][r] = M[t][r] + colR[t], M'[r][t] = M[r][t] + rowR[t].
+// Degree-1 vertices short-circuit to single-term probability sums.
 func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 	r, s := md.From, md.To
 	if r == s {
@@ -160,8 +160,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		mts := bm.M.Get(int(t), int(s))
 		mst := bm.M.Get(int(s), int(t))
 		pFwd := (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
-		mtr := sc.colR.get(t) // M'[t][r]
-		mrt := sc.rowR.get(t) // M'[r][t]
+		mtr := bm.M.Get(int(t), int(r)) + sc.colR.get(t) // M'[t][r]
+		mrt := bm.M.Get(int(r), int(t)) + sc.rowR.get(t) // M'[r][t]
 		dt := bm.DTot[t]
 		switch t {
 		case r:
@@ -223,8 +223,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		if w == 0 {
 			continue
 		}
-		mtr := sc.colR.get(t) // M'[t][r]: post-edit restricted view
-		mrt := sc.rowR.get(t) // M'[r][t]
+		mtr := bm.M.Get(int(t), int(r)) + sc.colR.get(t) // M'[t][r]
+		mrt := bm.M.Get(int(r), int(t)) + sc.rowR.get(t) // M'[r][t]
 		dt := bm.DTot[t]
 		switch t {
 		case r:

@@ -13,6 +13,7 @@ import (
 	"repro/internal/blockmodel"
 	"repro/internal/gen"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // verifyGraphSpecs are the random small graphs every engine is verified
@@ -63,6 +64,28 @@ func TestVerifiedEnginesOnRandomGraphs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestVerifiedEnginesSparseStorage runs one verified sweep per engine on
+// a model with more blocks than sparse.DenseThreshold, so the oracle
+// checks the kernel on the sparse block matrix too.
+func TestVerifiedEnginesSparseStorage(t *testing.T) {
+	spec := gen.Spec{Name: "v4", Vertices: 300, Communities: 4, MinDegree: 1, MaxDegree: 6, Exponent: 2.5, Ratio: 4, Seed: 44}
+	for _, alg := range []Algorithm{SerialMH, AsyncGibbs} {
+		t.Run(alg.String(), func(t *testing.T) {
+			bm := verifiedModel(t, spec, sparse.DenseThreshold+14)
+			if bm.M.IsDense() {
+				t.Fatal("fixture: block matrix is dense")
+			}
+			cfg := DefaultConfig()
+			cfg.MaxSweeps = 1
+			cfg.Workers = 2
+			cfg.Verify = true
+			if st := Run(bm, alg, cfg, rng.New(spec.Seed)); st.Proposals == 0 {
+				t.Fatal("verified run evaluated no proposals")
+			}
+		})
 	}
 }
 

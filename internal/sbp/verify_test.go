@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/mcmc"
+	"repro/internal/sparse"
 )
 
 var verifySpecs = []gen.Spec{
@@ -49,5 +50,31 @@ func TestVerifiedFullRuns(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestVerifiedRunBothStorageModes runs a verified search on a graph
+// with more vertices than sparse.DenseThreshold: the first merge phase
+// evaluates merges on the sparse block matrix, later phases on the
+// dense one.
+func TestVerifiedRunBothStorageModes(t *testing.T) {
+	g, _, err := gen.Generate(gen.Spec{Name: "g4", Vertices: sparse.DenseThreshold + 14, Communities: 4,
+		MinDegree: 1, MaxDegree: 6, Exponent: 2.5, Ratio: 5, Seed: 404})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(mcmc.AsyncGibbs)
+	opts.Verify = true
+	opts.Seed = 404
+	opts.MCMC.Workers = 2
+	opts.Merge.Workers = 2
+	opts.MCMC.MaxSweeps = 2
+	opts.Merge.Candidates = 3
+	if g.NumVertices() <= sparse.DenseThreshold {
+		t.Fatalf("fixture: %d vertices start in dense storage", g.NumVertices())
+	}
+	res := Run(g, opts)
+	if res.Best == nil || !res.Best.M.IsDense() {
+		t.Fatalf("verified run did not reach dense storage (%d communities)", res.NumCommunities)
 	}
 }

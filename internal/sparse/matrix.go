@@ -9,8 +9,9 @@
 // storage is far faster. The Matrix therefore switches representation:
 // sorted nonzero lists per row and per column above DenseThreshold
 // blocks, one dense array below. Both row and column iteration are
-// O(nonzeros) because the MCMC delta computation must walk row r and
-// column r of the current and proposed blocks.
+// O(nonzeros) because merge evaluation walks row and column r of the
+// merged block and the neighbour-guided proposal walks a block's row
+// and column.
 //
 // Iteration order is ascending index in BOTH modes. This is a hard
 // guarantee, not an implementation detail: float accumulations over
@@ -19,10 +20,7 @@
 // bit-identical. A hash-map representation would randomize the order.
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DenseThreshold is the block count at or below which a freshly created
 // Matrix uses dense storage.
@@ -37,10 +35,21 @@ type nzlist struct {
 	vals []int64
 }
 
-// find returns the position of k, or the insertion point and false.
+// find returns the position of k, or the insertion point and false. It
+// is a hand-written lower bound (the result sort.Search would give)
+// because it runs under every Get and Add of the sparse mode.
 func (l *nzlist) find(k int32) (int, bool) {
-	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= k })
-	return i, i < len(l.keys) && l.keys[i] == k
+	keys := l.keys
+	i, j := 0, len(keys)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if keys[h] < k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(keys) && keys[i] == k
 }
 
 func (l *nzlist) get(k int32) int64 {
@@ -224,35 +233,6 @@ func (m *Matrix) ColNZUntil(s int, fn func(r int32, count int64) bool) bool {
 		}
 	}
 	return true
-}
-
-// RowView returns row r's nonzero entries as parallel key/value slices
-// sorted ascending by key, the zero-overhead form of RowNZ for kernel
-// loops that cannot afford a callback per entry. ok is false in dense
-// mode (use DenseData there). The slices alias the matrix: the caller
-// must not mutate them, and any Add invalidates the view.
-func (m *Matrix) RowView(r int) (keys []int32, vals []int64, ok bool) {
-	if m.dense != nil {
-		return nil, nil, false
-	}
-	row := &m.rows[r]
-	return row.keys, row.vals, true
-}
-
-// ColView is RowView for column s; keys are row indices, ascending.
-func (m *Matrix) ColView(s int) (keys []int32, vals []int64, ok bool) {
-	if m.dense != nil {
-		return nil, nil, false
-	}
-	col := &m.cols[s]
-	return col.keys, col.vals, true
-}
-
-// DenseData returns the row-major C×C backing array in dense mode; ok
-// is false in sparse mode. Same aliasing contract as RowView: read
-// only, invalidated by Add.
-func (m *Matrix) DenseData() (data []int64, ok bool) {
-	return m.dense, m.dense != nil
 }
 
 // RowSum returns the sum of row r (the out-degree of block r).

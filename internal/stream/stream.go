@@ -374,10 +374,12 @@ func (d *Detector) Ingest(batch []graph.Edge) error {
 	// The incremental path agglomerates and refines but never splits
 	// blocks, so a partition that collapsed on an early, sparse prefix
 	// of the stream would stay collapsed forever. When the carried
-	// structure is degenerate, escalate to a full search — the new
-	// edges may well have created detectable communities.
+	// structure is degenerate — a single block, or a partition that
+	// describes the graph no better than the structureless null model
+	// (normalized MDL ≥ 1) — escalate to a full search: the new edges
+	// may well have created detectable communities.
 	escalated := false
-	if bm.NumNonEmptyBlocks() <= 1 {
+	if bm.NumNonEmptyBlocks() <= 1 || bm.NormalizedMDL() >= 1 {
 		d.escs++
 		d.fulls++
 		escalated = true

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -287,32 +288,41 @@ func TestStreamingFullSearchCounters(t *testing.T) {
 // The degenerate-collapse escalation branch: a tiny first batch
 // collapses to one block; the incremental path can merge but never
 // split, so the next structured batch must escalate to a full search
-// and recover the communities.
+// and recover the communities. At W=1 the refresh stays at one block;
+// at W=2 it ends at a partition no better than the null model
+// (normalized MDL ≥ 1), which must escalate too. Workers are explicit
+// so the outcome does not depend on GOMAXPROCS.
 func TestStreamingEscalationRecoversFromCollapse(t *testing.T) {
 	_, truth, batches := streamedGraph(t, 1, 19)
-	d := NewDetector(DefaultConfig())
-	if err := d.Ingest([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if d.NumCommunities() != 1 {
-		t.Skipf("triangle fitted %d blocks; collapse precondition not met", d.NumCommunities())
-	}
-	if err := d.Ingest(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.Snapshot()
-	if snap.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1", snap.Escalations)
-	}
-	if snap.Blocks <= 1 {
-		t.Fatalf("escalated search still degenerate: %d blocks", snap.Blocks)
-	}
-	nmi, err := metrics.NMI(truth[:d.NumVertices()], d.Assignment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmi < 0.8 {
-		t.Fatalf("post-escalation NMI %.3f", nmi)
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MCMC.Workers, cfg.Merge.Workers = w, w
+			d := NewDetector(cfg)
+			if err := d.Ingest([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}); err != nil {
+				t.Fatal(err)
+			}
+			if d.NumCommunities() != 1 {
+				t.Skipf("triangle fitted %d blocks; collapse precondition not met", d.NumCommunities())
+			}
+			if err := d.Ingest(batches[0]); err != nil {
+				t.Fatal(err)
+			}
+			snap := d.Snapshot()
+			if snap.Escalations != 1 {
+				t.Fatalf("Escalations = %d, want 1", snap.Escalations)
+			}
+			if snap.Blocks <= 1 {
+				t.Fatalf("escalated search still degenerate: %d blocks", snap.Blocks)
+			}
+			nmi, err := metrics.NMI(truth[:d.NumVertices()], d.Assignment())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nmi < 0.8 {
+				t.Fatalf("post-escalation NMI %.3f", nmi)
+			}
+		})
 	}
 }
 
