@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // benchModel builds a structured model at the requested block count.
@@ -76,14 +77,30 @@ func BenchmarkProposeVertexMove(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuild measures the sweep-boundary update: it alternates
+// between two memberships that differ in about 10% of vertices, the
+// share of proposals a typical A-SBP sweep accepts.
 func BenchmarkRebuild(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			bm, _ := benchModel(b, 5000, 32)
-			membership := append([]int32(nil), bm.Assignment...)
+	for _, mode := range []struct {
+		name string
+		c    int
+	}{{"dense", 32}, {"sparse", 2 * sparse.DenseThreshold}} {
+		b.Run(mode.name, func(b *testing.B) {
+			bm, r := benchModel(b, 5000, mode.c)
+			a := append([]int32(nil), bm.Assignment...)
+			moved := append([]int32(nil), a...)
+			for v := range moved {
+				if r.Intn(10) == 0 {
+					moved[v] = int32(r.Intn(mode.c))
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bm.RebuildFrom(membership, workers)
+				if i%2 == 0 {
+					bm.RebuildFrom(moved)
+				} else {
+					bm.RebuildFrom(a)
+				}
 			}
 		})
 	}

@@ -20,7 +20,7 @@ import (
 //
 // A Blockmodel is not safe for concurrent mutation. The asynchronous
 // Gibbs engines read a Blockmodel concurrently while writing only their
-// private membership copies, then rebuild.
+// private membership copies, then apply the copy with RebuildFrom.
 type Blockmodel struct {
 	G *graph.Graph
 
@@ -101,12 +101,12 @@ func Identity(g *graph.Graph, workers int) *Blockmodel {
 	return bm
 }
 
-// rebuildCounts recomputes M, degrees and sizes from Assignment.
-// The degree and size accumulation is parallelised over vertex ranges
-// with per-worker partial vectors; the matrix fill is parallelised over
-// source-vertex ranges with per-worker partial matrices that are merged,
-// mirroring the paper's parallel reconstruction of B after each
-// asynchronous sweep.
+// rebuildCounts recomputes M, degrees and sizes from Assignment. It is
+// the construction path (FromAssignment, Identity, Compact); sweep
+// boundaries use the incremental RebuildFrom instead. The degree and
+// size accumulation is parallelised over vertex ranges with per-worker
+// partial vectors; the matrix fill is parallelised over source-vertex
+// ranges with per-worker partial matrices that are merged.
 func (bm *Blockmodel) rebuildCounts(workers int) {
 	n := bm.G.NumVertices()
 	c := bm.C
@@ -172,12 +172,44 @@ func (bm *Blockmodel) rebuildCounts(workers int) {
 	}
 }
 
-// RebuildFrom replaces the assignment with membership and recomputes all
-// counts in parallel. This is the "rebuild B from community_membership"
-// step at the end of each asynchronous Gibbs sweep (Algorithms 3 and 4).
-func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) {
+// RebuildFrom replaces the assignment with membership and brings the
+// counts up to date: the "rebuild B from community_membership" step
+// after each asynchronous sweep (Algorithms 3 and 4). It applies only the
+// difference from the current Assignment. Every edge incident to a moved
+// vertex leaves its old cell and enters its new one exactly once (an
+// edge between two moved vertices, or a self-loop, through its source's
+// out-edges), so the counts, and hence MDL, equal a full recount's, at
+// O(V + Σ deg moved) with no allocation. The counts must be consistent
+// with Assignment on entry, as every mutator keeps them.
+func (bm *Blockmodel) RebuildFrom(membership []int32) {
+	old := bm.Assignment
+	for v, s := range membership {
+		r := old[v]
+		if r == s {
+			continue
+		}
+		for _, u := range bm.G.OutNeighbors(v) {
+			bm.M.Add(int(r), int(old[u]), -1)
+			bm.M.Add(int(s), int(membership[u]), 1)
+		}
+		for _, u := range bm.G.InNeighbors(v) {
+			if t := old[u]; t == membership[u] {
+				bm.M.Add(int(t), int(r), -1)
+				bm.M.Add(int(t), int(s), 1)
+			}
+		}
+		kOut := int64(bm.G.OutDegree(v))
+		kIn := int64(bm.G.InDegree(v))
+		bm.DOut[r] -= kOut
+		bm.DOut[s] += kOut
+		bm.DIn[r] -= kIn
+		bm.DIn[s] += kIn
+		bm.DTot[r] = bm.DOut[r] + bm.DIn[r]
+		bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
+		bm.Sizes[r]--
+		bm.Sizes[s]++
+	}
 	copy(bm.Assignment, membership)
-	bm.rebuildCounts(workers)
 }
 
 // Clone returns a deep copy of bm (sharing the immutable graph).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // fixture returns a small directed graph with two obvious communities
@@ -124,7 +125,7 @@ func TestRebuildFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := []int32{0, 0, 1, 1, 1, 0} // scramble
-	bm.RebuildFrom(next, 2)
+	bm.RebuildFrom(next)
 	if err := bm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +204,146 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	bm.Sizes[1]-- // corrupt a size
 	if bm.Validate() == nil {
 		t.Fatal("corrupted size passed validation")
+	}
+}
+
+// rebuildGraph returns a random multigraph on n vertices with explicit
+// self-loops, duplicated edges and edges among the vertices the
+// "tenth" case of TestRebuildFromMatchesFreshBuild moves (multiples of
+// 10), so every edge class of the incremental update is exercised.
+func rebuildGraph(n int) *graph.Graph {
+	r := rng.New(17)
+	edges := []graph.Edge{
+		{Src: 0, Dst: 10}, {Src: 0, Dst: 10}, {Src: 10, Dst: 0}, {Src: 20, Dst: 10},
+		{Src: 0, Dst: 0}, {Src: 10, Dst: 10}, {Src: 10, Dst: 10}, {Src: 3, Dst: 3},
+	}
+	for i := 0; i < 6*n; i++ {
+		edges = append(edges, graph.Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n))})
+	}
+	return graph.MustNew(n, edges)
+}
+
+// requireSameCounts fails unless got carries exactly the counts, sizes
+// and description length of want.
+func requireSameCounts(t *testing.T, got, want *Blockmodel) {
+	t.Helper()
+	if !got.M.Equal(want.M) {
+		t.Fatal("block matrix differs from a fresh build")
+	}
+	for r := 0; r < want.C; r++ {
+		if got.DOut[r] != want.DOut[r] || got.DIn[r] != want.DIn[r] ||
+			got.DTot[r] != want.DTot[r] || got.Sizes[r] != want.Sizes[r] {
+			t.Fatalf("block %d: degrees/size (%d,%d,%d,%d), fresh build (%d,%d,%d,%d)", r,
+				got.DOut[r], got.DIn[r], got.DTot[r], got.Sizes[r],
+				want.DOut[r], want.DIn[r], want.DTot[r], want.Sizes[r])
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.MDL(), want.MDL(); g != w {
+		t.Fatalf("MDL %v, fresh build %v", g, w)
+	}
+}
+
+// TestRebuildFromMatchesFreshBuild checks that the incremental update
+// lands on exactly the state FromAssignment builds from the new
+// membership, in both storage modes, and that updating back restores
+// the original state.
+func TestRebuildFromMatchesFreshBuild(t *testing.T) {
+	const n = 1000
+	g := rebuildGraph(n)
+	moves := []struct {
+		name string
+		move func(base []int32, c int, r *rng.RNG) []int32
+	}{
+		{"none", func(base []int32, c int, r *rng.RNG) []int32 { return base }},
+		{"one", func(base []int32, c int, r *rng.RNG) []int32 {
+			base[10] = (base[10] + 1) % int32(c-1)
+			return base
+		}},
+		{"tenth", func(base []int32, c int, r *rng.RNG) []int32 {
+			for v := 0; v < n; v += 10 {
+				base[v] = int32(r.Intn(c))
+			}
+			return base
+		}},
+		{"all", func(base []int32, c int, r *rng.RNG) []int32 {
+			// Shifting every vertex up one block empties block 0 and
+			// fills the previously empty block c-1.
+			for v := range base {
+				base[v]++
+			}
+			return base
+		}},
+		{"empty-and-fill", func(base []int32, c int, r *rng.RNG) []int32 {
+			for v, b := range base {
+				if b == 0 {
+					base[v] = 1
+				}
+			}
+			base[3] = int32(c - 1)
+			return base
+		}},
+	}
+	for _, mode := range []struct {
+		name  string
+		c     int
+		dense bool
+	}{{"dense", 16, true}, {"sparse", sparse.DenseThreshold + 44, false}} {
+		for _, mv := range moves {
+			t.Run(mode.name+"/"+mv.name, func(t *testing.T) {
+				r := rng.New(3)
+				base := make([]int32, n)
+				for v := range base {
+					base[v] = int32(r.Intn(mode.c - 1)) // block c-1 starts empty
+				}
+				bm, err := FromAssignment(g, base, mode.c, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bm.M.IsDense() != mode.dense {
+					t.Fatalf("IsDense = %v, want %v", bm.M.IsDense(), mode.dense)
+				}
+				orig := bm.Clone()
+				next := mv.move(append([]int32(nil), base...), mode.c, r)
+
+				bm.RebuildFrom(next)
+				requireSameCounts(t, bm, mustFromAssignment(t, g, next, mode.c))
+				for v := range next {
+					if bm.Assignment[v] != next[v] {
+						t.Fatalf("Assignment[%d] = %d, want %d", v, bm.Assignment[v], next[v])
+					}
+				}
+
+				bm.RebuildFrom(base)
+				requireSameCounts(t, bm, orig)
+			})
+		}
+	}
+}
+
+// TestRebuildFromZeroAllocs pins the sweep-boundary update to no heap
+// traffic in dense mode.
+func TestRebuildFromZeroAllocs(t *testing.T) {
+	const n = 600
+	g := rebuildGraph(n)
+	a := moduloAssign(n, 16)
+	b := append([]int32(nil), a...)
+	for v := 0; v < n; v += 10 {
+		b[v] = (b[v] + 5) % 16
+	}
+	bm := mustFromAssignment(t, g, a, 16)
+	flip := false
+	allocs := testing.AllocsPerRun(50, func() {
+		if flip {
+			bm.RebuildFrom(a)
+		} else {
+			bm.RebuildFrom(b)
+		}
+		flip = !flip
+	})
+	if allocs != 0 {
+		t.Fatalf("dense RebuildFrom allocates %.1f times per run, want 0", allocs)
 	}
 }

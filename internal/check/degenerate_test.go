@@ -152,7 +152,7 @@ func TestMergeDegenerateCases(t *testing.T) {
 			membership[v] = 0
 		}
 	}
-	bm.RebuildFrom(membership, 1)
+	bm.RebuildFrom(membership)
 	d := bm.EvalMerge(3, 1, sc)
 	if d != 0 {
 		t.Fatalf("merging empty block: ΔS=%g, want 0", d)

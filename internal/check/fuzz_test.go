@@ -126,7 +126,7 @@ func FuzzMergeDelta(f *testing.F) {
 					membership[v] = s
 				}
 			}
-			bm.RebuildFrom(membership, 1)
+			bm.RebuildFrom(membership)
 			if err := Invariants(bm); err != nil {
 				t.Fatalf("invariants after merge %d→%d: %v", r, s, err)
 			}

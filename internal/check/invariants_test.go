@@ -98,7 +98,7 @@ func TestInvariantsPassAfterRebuildAndCompact(t *testing.T) {
 			membership[v] = 0
 		}
 	}
-	bm.RebuildFrom(membership, 2)
+	bm.RebuildFrom(membership)
 	if err := Invariants(bm); err != nil {
 		t.Fatalf("after rebuild: %v", err)
 	}

@@ -105,7 +105,7 @@ func TestMergeDeltaMatchesIncremental(t *testing.T) {
 				membership[v] = 1
 			}
 		}
-		bm.RebuildFrom(membership, 1)
+		bm.RebuildFrom(membership)
 		if err := Invariants(bm); err != nil {
 			t.Fatalf("seed %d: invariants after merge: %v", seed, err)
 		}

@@ -246,7 +246,7 @@ func RunMCMCPhase(bm *blockmodel.Blockmodel, mode Mode, cfg Config) (PhaseStats,
 
 	// Every replica followed the same deterministic exchange, so rank
 	// 0's membership is the global result.
-	bm.RebuildFrom(final, 1)
+	bm.RebuildFrom(final)
 	st.FinalS = bm.MDL()
 	r0 := rankStats[0]
 	st.Sweeps = r0.Sweeps
@@ -484,11 +484,12 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			commSpan := sweepSpan.Child("comm", obs.F("op", "allgather_vstar"))
 			all := comm.AllGatherInt32(starMoves)
 			commSpan.End()
-			for i := 0; i+1 < len(all[0]); i += 2 {
-				v, s := all[0][i], all[0][i+1]
-				if r != 0 {
-					applyTo(replica, int(v), s, sc)
+			if r != 0 && len(all[0]) > 0 {
+				moved := append([]int32(nil), replica.Assignment...)
+				for i := 0; i+1 < len(all[0]); i += 2 {
+					moved[all[0][i]] = all[0][i+1]
 				}
+				replica.RebuildFrom(moved)
 			}
 		}
 
@@ -526,7 +527,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		for peer := 0; peer < ranks; peer++ {
 			assembled = append(assembled, segments[peer]...)
 		}
-		replica.RebuildFrom(assembled, 1)
+		replica.RebuildFrom(assembled)
 		st.Sweeps++
 		cSweeps.Inc()
 		cProps.Add(st.Proposals - sweepProps)
@@ -636,16 +637,6 @@ func agreeOr(a, b float64) float64 {
 func acceptMove(deltaS, hastings, beta float64, rn *rng.RNG) bool {
 	a := math.Exp(-beta*deltaS) * hastings
 	return a >= 1 || rn.Float64() < a
-}
-
-// applyTo moves vertex v to block s on a replica, keeping counts
-// consistent.
-func applyTo(replica *blockmodel.Blockmodel, v int, s int32, sc *blockmodel.Scratch) {
-	if replica.Assignment[v] == s {
-		return
-	}
-	md := replica.EvalMove(v, s, replica.Assignment, sc)
-	replica.ApplyMove(md)
 }
 
 // PartitionBounds returns the contiguous vertex range an equal-count

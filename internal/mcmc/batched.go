@@ -15,10 +15,12 @@ import (
 //
 // Each sweep is split into cfg.Batches groups of vertices; after every
 // group's fully parallel pass the blockmodel is rebuilt, so proposals
-// are at most 1/Batches of a sweep stale instead of a whole sweep.
-// Batches = 1 degenerates to A-SBP; Batches = V would be the serial
-// chain (with rebuild overhead). The staleness ablation benchmark
-// sweeps this knob.
+// are at most 1/Batches of a sweep stale instead of a whole sweep. The
+// rebuild applies only the batch's accepted moves (RebuildFrom), so its
+// cost follows the moved vertices' degrees, not E: this is the faster
+// reconstruction the quote asks for. Batches = 1 degenerates to A-SBP;
+// Batches = V would be the serial chain (with rebuild overhead). The
+// staleness ablation benchmark sweeps this knob.
 func runBatched(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs) Stats {
 	st := Stats{Algorithm: BatchedGibbs, InitialS: bm.MDL()}
 	workers := parallel.DefaultWorkers(cfg.Workers)
@@ -71,7 +73,7 @@ func runBatched(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs
 				gd.abort(sweep)
 				return st
 			}
-			rebuild(bm, next, cfg.Workers, &st, sp)
+			rebuild(bm, next, &st, sp)
 			if cfg.Verify {
 				// Per-batch, not just per-sweep: a corrupted mid-sweep
 				// rebuild is caught before the next batch consumes it.

@@ -58,7 +58,7 @@ func runHybrid(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs)
 			gd.abort(sweep)
 			return st
 		}
-		rebuild(bm, next, cfg.Workers, &st, sp)
+		rebuild(bm, next, &st, sp)
 
 		st.Sweeps++
 		if cfg.Verify {

@@ -7,7 +7,9 @@
 //   - Asynchronous Gibbs (Algorithm 3, A-SBP) — all vertices are proposed
 //     in parallel against a blockmodel that is at most one sweep stale;
 //     accepted moves update only the membership vector, and the
-//     blockmodel is rebuilt in parallel after each sweep.
+//     blockmodel is brought up to it after each sweep by applying the
+//     sweep's moves (the paper rebuilds it from scratch in parallel;
+//     the diff gives identical counts).
 //   - Hybrid (Algorithm 4, H-SBP) — the top fraction of vertices by
 //     degree is processed serially first (live blockmodel updates), the
 //     rest asynchronously as in A-SBP.
@@ -117,8 +119,8 @@ type Config struct {
 	// processed serially by the Hybrid engine. The paper reserves 15%.
 	HybridFraction float64
 
-	// Workers is the parallel width of the asynchronous passes and the
-	// blockmodel rebuild; <= 0 means GOMAXPROCS.
+	// Workers is the parallel width of the asynchronous passes; <= 0
+	// means GOMAXPROCS. The sweep-boundary blockmodel update is serial.
 	Workers int
 
 	// AllowEmptyBlocks permits vertex moves that empty their source
@@ -217,8 +219,8 @@ type Stats struct {
 	PerSweep []SweepRecord
 
 	// Cost is the work/span account of the phase: proposal work in the
-	// serial passes is serial work, proposal work in the asynchronous
-	// passes and the blockmodel rebuilds are parallel work.
+	// serial passes and the blockmodel updates (rebuilds) is serial
+	// work, proposal work in the asynchronous passes is parallel work.
 	Cost parallel.CostModel
 }
 

@@ -90,7 +90,7 @@ func TestPhaseImprovesOverRandomMerges(t *testing.T) {
 	for v := range membership {
 		membership[v] = int32(r.Intn(4))
 	}
-	random.RebuildFrom(membership, 1)
+	random.RebuildFrom(membership)
 	random.Compact(1)
 
 	if guided.MDL() >= random.MDL() {
