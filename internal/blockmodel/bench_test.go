@@ -12,9 +12,14 @@ import (
 
 // benchModel builds a structured model at the requested block count.
 func benchModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
+	return benchModelDeg(b, v, c, 50)
+}
+
+// benchModelDeg is benchModel with a chosen maximum vertex degree.
+func benchModelDeg(b *testing.B, v, c, maxDeg int) (*Blockmodel, *rng.RNG) {
 	b.Helper()
 	g, truth, err := gen.Generate(gen.Spec{
-		Name: "bench", Vertices: v, Communities: c, MinDegree: 5, MaxDegree: 50,
+		Name: "bench", Vertices: v, Communities: c, MinDegree: 5, MaxDegree: maxDeg,
 		Exponent: 2.5, Ratio: 4, SizeSkew: 0.3, Seed: 1,
 	})
 	if err != nil {
@@ -27,15 +32,41 @@ func benchModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
 	return bm, rng.New(2)
 }
 
+// kernelCase is one block-matrix regime of the proposal kernel.
+type kernelCase struct {
+	name         string
+	v, c, maxDeg int
+}
+
+// sparseKernelCases are the two sparse-storage regimes: light rows of a
+// few dozen entries (2000 vertices in 512 blocks), and heavy rows that
+// hold most of the 300 blocks (20000 vertices of degree up to 200).
+var sparseKernelCases = []kernelCase{
+	{"C=512", 2000, 512, 50},
+	{"heavy/C=300", 20000, 300, 200},
+}
+
+// kernelCases prefixes the given dense block counts to sparseKernelCases.
+// The kernel benchmarks build each case's model before b.Run, which
+// calls its function again for every calibration round: regenerating
+// the 20000-vertex graph each time dominated their run time.
+func kernelCases(dense ...int) []kernelCase {
+	var cs []kernelCase
+	for _, c := range dense {
+		cs = append(cs, kernelCase{"C=" + strconv.Itoa(c), 2000, c, 50})
+	}
+	return append(cs, sparseKernelCases...)
+}
+
 func BenchmarkEvalMove(b *testing.B) {
-	for _, c := range []int{8, 64, 512} {
-		b.Run("C="+strconv.Itoa(c), func(b *testing.B) {
-			bm, r := benchModel(b, 2000, c)
+	for _, kc := range kernelCases(8, 64) {
+		bm, r := benchModelDeg(b, kc.v, kc.c, kc.maxDeg)
+		b.Run(kc.name, func(b *testing.B) {
 			sc := NewScratch()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v := r.Intn(2000)
-				s := int32(r.Intn(c))
+				v := r.Intn(kc.v)
+				s := int32(r.Intn(kc.c))
 				_ = bm.EvalMove(v, s, bm.Assignment, sc)
 			}
 		})
@@ -43,14 +74,18 @@ func BenchmarkEvalMove(b *testing.B) {
 }
 
 func BenchmarkEvalMoveWithHastings(b *testing.B) {
-	bm, r := benchModel(b, 2000, 32)
-	sc := NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := r.Intn(2000)
-		s := int32(r.Intn(32))
-		md := bm.EvalMove(v, s, bm.Assignment, sc)
-		_ = bm.HastingsCorrection(&md)
+	for _, kc := range kernelCases(32) {
+		bm, r := benchModelDeg(b, kc.v, kc.c, kc.maxDeg)
+		b.Run(kc.name, func(b *testing.B) {
+			sc := NewScratch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := r.Intn(kc.v)
+				s := int32(r.Intn(kc.c))
+				md := bm.EvalMove(v, s, bm.Assignment, sc)
+				_ = bm.HastingsCorrection(&md)
+			}
+		})
 	}
 }
 
@@ -115,16 +150,20 @@ func BenchmarkMDL(b *testing.B) {
 }
 
 func BenchmarkEvalMerge(b *testing.B) {
-	bm, r := benchModel(b, 2000, 64)
-	sc := NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := int32(r.Intn(64))
-		y := int32(r.Intn(64))
-		if x == y {
-			continue
-		}
-		_ = bm.EvalMerge(x, y, sc)
+	for _, kc := range kernelCases(64) {
+		bm, r := benchModelDeg(b, kc.v, kc.c, kc.maxDeg)
+		b.Run(kc.name, func(b *testing.B) {
+			sc := NewScratch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := int32(r.Intn(kc.c))
+				y := int32(r.Intn(kc.c))
+				if x == y {
+					continue
+				}
+				_ = bm.EvalMerge(x, y, sc)
+			}
+		})
 	}
 }
 

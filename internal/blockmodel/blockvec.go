@@ -73,6 +73,17 @@ func (b *blockVec) get(k int32) int64 {
 	return b.val[k]
 }
 
+// scatter sets slot idx[i] to vals[i] for every i without recording the
+// keys: a vector filled this way serves get only, not iterate. idx must
+// hold distinct in-range keys, and the vector must have been reset since
+// its last fill.
+func (b *blockVec) scatter(idx []int32, vals []int64) {
+	for i, k := range idx {
+		b.stamp[k] = b.gen
+		b.val[k] = vals[i]
+	}
+}
+
 // iterate calls fn for every touched entry with a nonzero value. A key
 // is visited at most once even if added repeatedly.
 func (b *blockVec) iterate(fn func(k int32, v int64)) {

@@ -1,6 +1,10 @@
 package blockmodel
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sparse"
+)
 
 // This file implements the incremental ΔMDL computations at the core of
 // every SBP variant. They use the decomposition of the log-likelihood
@@ -13,7 +17,15 @@ import "math"
 // edits a few entries of rows r, s and columns r, s and changes four
 // block degrees, so ΔS = −ΔL is a sum over the edited entries and the
 // changed degrees only: O(deg v) for a move, O(nnz of row and column r)
-// for a merge, each entry read with one matrix lookup.
+// for a merge.
+//
+// Every entry the kernel reads lies in row r, row s, column r or column
+// s of M. In sparse storage a lookup is a binary search of the line, so
+// after folding the edits each of the four lines is scattered once into
+// a block-indexed Scratch vector (one ascending walk), and every read of
+// ΔS and of the Hastings correction is then one array access. In dense
+// storage the kernel indexes the matrix's row, or its column with stride
+// C, in place. f is read from a fixed table for small counts.
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
 // of the whole system, so all intermediates live in a reusable Scratch
@@ -26,10 +38,68 @@ import "math"
 // and is invalidated by the next EvalMove/EvalMerge call on the same
 // Scratch.
 type Scratch struct {
-	out, in                blockVec // vertex→block edge tallies
-	rowR, rowS, colR, colS blockVec // folded edit deltas per row/column r, s
-	edits                  []edit
-	wFwd, wBwd             blockVec // Hastings neighbour weights
+	out, in                    blockVec // vertex→block edge tallies
+	rowR, rowS, colR, colS     blockVec // folded edit deltas per row/column r, s
+	mRowR, mRowS, mColR, mColS line     // current entries of M in row/column r, s
+	edits                      []edit
+	wFwd, wBwd                 blockVec // Hastings neighbour weights
+}
+
+// line reads the entries of one row or column of M during an
+// evaluation by block index: from vec, into which load scattered the
+// line, in sparse storage, and from the matrix's own array in dense
+// storage.
+type line struct {
+	vec    blockVec // sparse storage: the line's entries
+	dense  []int64  // dense storage: entry t is dense[t*stride]
+	stride int
+}
+
+// load points l at row (col false) or column i of m. The reset runs in
+// dense storage too so that the vector follows the shrink policy of
+// blockVec.
+func (l *line) load(m *sparse.Matrix, i int32, col bool) {
+	l.vec.reset(m.NumBlocks())
+	idx, counts, stride := m.Line(int(i), col)
+	if stride > 0 {
+		l.dense, l.stride = counts, stride
+		return
+	}
+	l.dense = nil
+	l.vec.scatter(idx, counts)
+}
+
+// at returns entry t of the line: M[i][t] for row i, M[t][i] for
+// column i.
+func (l *line) at(t int32) int64 {
+	if l.dense != nil {
+		return l.dense[int(t)*l.stride]
+	}
+	return l.vec.get(t)
+}
+
+// addDeltas returns h + Σ f(m+δ) − f(m) over the keys t of the folded
+// deltas d with δ = d[t] ≠ 0 and t ∉ {skip1, skip2}, where m is the
+// line's current entry at t.
+func (l *line) addDeltas(h float64, d *blockVec, skip1, skip2 int32) float64 {
+	for _, t := range d.keys {
+		dt := d.val[t]
+		if dt == 0 || t == skip1 || t == skip2 {
+			continue
+		}
+		x := l.at(t)
+		h += xlogx(x+dt) - xlogx(x)
+	}
+	return h
+}
+
+// loadLines points the four line readers at rows and columns r, s. The
+// readers stay valid until the model changes.
+func (sc *Scratch) loadLines(m *sparse.Matrix, r, s int32) {
+	sc.mRowR.load(m, r, false)
+	sc.mRowS.load(m, s, false)
+	sc.mColR.load(m, r, true)
+	sc.mColS.load(m, s, true)
 }
 
 // NewScratch returns an empty Scratch ready for use.
@@ -166,11 +236,33 @@ func (sc *Scratch) foldEdits(r, s int32, c int) {
 	}
 }
 
+// xlogxTable holds f(x) for 0 ≤ x < len, computed by the same
+// expression xlogx uses above it, so reads are bit-identical to calling
+// math.Log. Its 32 KB are fixed: they do not grow with the graph.
+var xlogxTable = func() (t [4096]float64) {
+	for x := 1; x < len(t); x++ {
+		f := float64(x)
+		t[x] = f * math.Log(f)
+	}
+	return t
+}()
+
 // xlogx is f(x) = x·ln x, taken as 0 for x ≤ 0: an empty entry
 // contributes nothing, and so does an entry or degree that a stale
 // asynchronous view drives below zero.
 func xlogx(x int64) float64 {
-	if x <= 0 {
+	if uint64(x) < uint64(len(xlogxTable)) {
+		return xlogxTable[x]
+	}
+	return xlogxLarge(x)
+}
+
+// xlogxLarge is xlogx beyond the table, kept out of line so that xlogx
+// inlines.
+//
+//go:noinline
+func xlogxLarge(x int64) float64 {
+	if x < 0 {
 		return 0
 	}
 	f := float64(x)
@@ -179,40 +271,12 @@ func xlogx(x int64) float64 {
 
 // entriesDelta returns Σ f(m+δ) − f(m) over the coordinates edited in
 // sc, counting each exactly once: rows r and s in full, columns r and s
-// excluding rows r and s. Old entries are read from bm.M directly.
+// excluding rows r and s. Old entries are read through sc's lines.
 func (bm *Blockmodel) entriesDelta(r, s int32, sc *Scratch) float64 {
-	var h float64
-	for _, t := range sc.rowR.keys {
-		if d := sc.rowR.val[t]; d != 0 {
-			m := bm.M.Get(int(r), int(t))
-			h += xlogx(m+d) - xlogx(m)
-		}
-	}
-	for _, t := range sc.rowS.keys {
-		if d := sc.rowS.val[t]; d != 0 {
-			m := bm.M.Get(int(s), int(t))
-			h += xlogx(m+d) - xlogx(m)
-		}
-	}
-	for _, t := range sc.colR.keys {
-		if t == r || t == s {
-			continue
-		}
-		if d := sc.colR.val[t]; d != 0 {
-			m := bm.M.Get(int(t), int(r))
-			h += xlogx(m+d) - xlogx(m)
-		}
-	}
-	for _, t := range sc.colS.keys {
-		if t == r || t == s {
-			continue
-		}
-		if d := sc.colS.val[t]; d != 0 {
-			m := bm.M.Get(int(t), int(s))
-			h += xlogx(m+d) - xlogx(m)
-		}
-	}
-	return h
+	h := sc.mRowR.addDeltas(0, &sc.rowR, -1, -1)
+	h = sc.mRowS.addDeltas(h, &sc.rowS, -1, -1)
+	h = sc.mColR.addDeltas(h, &sc.colR, r, s)
+	return sc.mColS.addDeltas(h, &sc.colS, r, s)
 }
 
 // degreesDelta returns Σ f(d') − f(d) over the four block degrees a
@@ -269,6 +333,7 @@ func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta
 		sc.moveEdits(md.counts, r, s)
 	}
 	sc.foldEdits(r, s, bm.C)
+	sc.loadLines(bm.M, r, s)
 	md.DeltaS = bm.degreesDelta(r, s, md.counts.KOut, md.counts.KIn) - bm.entriesDelta(r, s, sc)
 	md.EmptiesSrc = bm.Sizes[r] == 1
 	return md
@@ -307,5 +372,6 @@ func (bm *Blockmodel) EvalMerge(r, s int32, sc *Scratch) float64 {
 	}
 	bm.mergeEdits(r, s, sc)
 	sc.foldEdits(r, s, bm.C)
+	sc.loadLines(bm.M, r, s)
 	return bm.degreesDelta(r, s, bm.DOut[r], bm.DIn[r]) - bm.entriesDelta(r, s, sc)
 }

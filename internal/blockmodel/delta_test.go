@@ -329,3 +329,27 @@ func TestBlockVecAgainstMapReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestXlogxTableExact pins the small-count table to the expression it
+// replaces: every entry, and xlogx on both sides of the table's end,
+// must bit-equal float64(x)·ln(float64(x)), with 0 for x ≤ 0.
+func TestXlogxTableExact(t *testing.T) {
+	want := func(x int64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		f := float64(x)
+		return f * math.Log(f)
+	}
+	for x := range xlogxTable {
+		if got := xlogxTable[x]; math.Float64bits(got) != math.Float64bits(want(int64(x))) {
+			t.Fatalf("xlogxTable[%d] = %v, want %v", x, got, want(int64(x)))
+		}
+	}
+	n := int64(len(xlogxTable))
+	for _, x := range []int64{math.MinInt64, -n, -1, 0, 1, 2, n - 1, n, n + 1, 1 << 40} {
+		if got := xlogx(x); math.Float64bits(got) != math.Float64bits(want(x)) {
+			t.Errorf("xlogx(%d) = %v, want %v", x, got, want(x))
+		}
+	}
+}

@@ -53,6 +53,9 @@ func kernelFixture(t *testing.T, c int) *blockmodel.Blockmodel {
 // on moves and merges whose edits overlap at the corners
 // (r,s)/(s,r)/(r,r)/(s,s) of the changed rows and columns.
 func TestKernelBothStorageModes(t *testing.T) {
+	// One Scratch serves both fixtures, as a worker's does when the
+	// block count crosses the storage threshold.
+	sc := blockmodel.NewScratch()
 	for _, c := range []int{12, sparse.DenseThreshold + 44} {
 		bm := kernelFixture(t, c)
 		if bm.M.IsDense() != (c <= sparse.DenseThreshold) {
@@ -95,7 +98,6 @@ func TestKernelBothStorageModes(t *testing.T) {
 				moves = append(moves, move{"random", v, s})
 			}
 		}
-		sc := blockmodel.NewScratch()
 		for _, mv := range moves {
 			md := bm.EvalMove(mv.v, mv.s, bm.Assignment, sc)
 			if err := check.CheckMoveDelta(bm, bm.Assignment, mv.v, mv.s, md.DeltaS); err != nil {

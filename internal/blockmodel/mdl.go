@@ -40,10 +40,10 @@ func (bm *Blockmodel) LogLikelihood() float64 {
 	return l
 }
 
-// ModelTerm returns E·h(C²/E) + V·ln(C) for the given block count — the
+// modelTerm returns E·h(C²/E) + V·ln(C) for the given block count — the
 // part of the MDL that penalises model complexity. c counts non-empty
 // blocks.
-func (bm *Blockmodel) ModelTerm(c int) float64 {
+func (bm *Blockmodel) modelTerm(c int) float64 {
 	e := float64(bm.G.NumEdges())
 	v := float64(bm.G.NumVertices())
 	if e == 0 || c <= 0 {
@@ -57,7 +57,7 @@ func (bm *Blockmodel) ModelTerm(c int) float64 {
 // The block count used in the model term is the number of non-empty
 // blocks, so states that empty blocks during MCMC are scored correctly.
 func (bm *Blockmodel) MDL() float64 {
-	return bm.ModelTerm(bm.NumNonEmptyBlocks()) - bm.LogLikelihood()
+	return bm.modelTerm(bm.NumNonEmptyBlocks()) - bm.LogLikelihood()
 }
 
 // NullDescriptionLength returns the description length of the structure-
@@ -69,7 +69,7 @@ func NullDescriptionLength(v, e int) float64 {
 		return 0
 	}
 	ef := float64(e)
-	// ModelTerm with C=1: E·h(1/E) + V·ln 1 = E·h(1/E).
+	// modelTerm with C=1: E·h(1/E) + V·ln 1 = E·h(1/E).
 	// L = E·ln(1/E) = −E·ln E  ⇒  MDL = E·h(1/E) + E·ln E.
 	return ef*hFunc(1/ef) + ef*math.Log(ef)
 }
@@ -78,9 +78,17 @@ func NullDescriptionLength(v, e int) float64 {
 // quality metric (lower is better; values ≥ 1 indicate no structure
 // beyond the null model was found).
 func (bm *Blockmodel) NormalizedMDL() float64 {
-	null := NullDescriptionLength(bm.G.NumVertices(), bm.G.NumEdges())
+	return NormalizedMDLOf(bm.MDL(), bm.G.NumVertices(), bm.G.NumEdges())
+}
+
+// NormalizedMDLOf returns mdl / MDL_null for a graph of v vertices and e
+// edges, and 1 for an edgeless graph, whose null model has length 0. It
+// lets a caller that already holds a model's MDL normalize it without
+// recomputing it.
+func NormalizedMDLOf(mdl float64, v, e int) float64 {
+	null := NullDescriptionLength(v, e)
 	if null == 0 {
 		return 1
 	}
-	return bm.MDL() / null
+	return mdl / null
 }

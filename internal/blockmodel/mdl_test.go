@@ -126,6 +126,12 @@ func TestNullDescriptionLengthEdgeCases(t *testing.T) {
 	if NullDescriptionLength(10, 100) <= 0 {
 		t.Fatal("null MDL not positive")
 	}
+	if got := NormalizedMDLOf(7, 10, 0); got != 1 {
+		t.Fatalf("edgeless normalized MDL = %v, want 1", got)
+	}
+	if got, want := NormalizedMDLOf(7, 10, 100), 7/NullDescriptionLength(10, 100); got != want {
+		t.Fatalf("NormalizedMDLOf = %v, want %v", got, want)
+	}
 }
 
 func TestNormalizedMDLComparableAcrossSizes(t *testing.T) {

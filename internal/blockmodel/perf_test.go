@@ -25,10 +25,27 @@ func ringGraph(n int) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
+// hubGraph is ringGraph(n) plus an edge each way between vertex 0 and
+// every other vertex, so that under moduloAssign the rows and columns of
+// block 0 are full.
+func hubGraph(n int) *graph.Graph {
+	edges := make([]graph.Edge, 0, 3*n)
+	for v := 0; v < n; v++ {
+		edges = append(edges, graph.Edge{Src: int32(v), Dst: int32((v + 1) % n)})
+		if v != 0 {
+			edges = append(edges, graph.Edge{Src: 0, Dst: int32(v)}, graph.Edge{Src: int32(v), Dst: 0})
+		}
+	}
+	edges = append(edges, graph.Edge{Src: 0, Dst: 0})
+	return graph.MustNew(n, edges)
+}
+
 // TestEvalMoveSteadyStateZeroAllocs is the acceptance gate for the
 // proposal kernel: once the Scratch arenas have reached steady-state
 // capacity, a full EvalMove + HastingsCorrection must not touch the
-// heap, in either block-matrix storage mode.
+// heap, in either block-matrix storage mode, also in sparse storage
+// when the touched lines are full rows and columns. Every fourth move
+// targets block 0, the full one in the heavy-row case.
 func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 	n := 600
 	g := ringGraph(n)
@@ -37,6 +54,7 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 		bm   *Blockmodel
 	}{
 		{"sparse", Identity(g, 1)}, // C = 600 > DenseThreshold
+		{"sparse heavy rows", mustFromAssignment(t, hubGraph(n), moduloAssign(n, 300), 300)},
 		{"dense", mustFromAssignment(t, g, moduloAssign(n, 16), 16)},
 	}
 	for _, tc := range cases {
@@ -48,6 +66,9 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 				for i := 0; i < 32; i++ {
 					v := rn.Intn(n)
 					s := int32(rn.Intn(bm.C))
+					if i%4 == 0 {
+						s = 0
+					}
 					if s == bm.Assignment[v] {
 						continue
 					}
@@ -163,7 +184,8 @@ func TestScratchRetainedCapacityBounded(t *testing.T) {
 
 func scratchMaxCap(sc *Scratch) int {
 	m := 0
-	for _, b := range []*blockVec{&sc.out, &sc.in, &sc.rowR, &sc.rowS, &sc.colR, &sc.colS, &sc.wFwd, &sc.wBwd} {
+	for _, b := range []*blockVec{&sc.out, &sc.in, &sc.rowR, &sc.rowS, &sc.colR, &sc.colS, &sc.wFwd, &sc.wBwd,
+		&sc.mRowR.vec, &sc.mRowS.vec, &sc.mColR.vec, &sc.mColS.vec} {
 		if c := b.retainedCap(); c > m {
 			m = c
 		}

@@ -56,7 +56,7 @@ func (bm *Blockmodel) proposeMergeOnce(rBlock int32, rn *rng.RNG) int32 {
 	if dr == 0 {
 		return bm.uniformOther(rBlock, rn)
 	}
-	t := bm.sampleBlockNeighbor(int(rBlock), rn)
+	t := bm.sampleBlockEdgeEndpoint(int(rBlock), rn)
 	dt := bm.DTot[t]
 	if dt == 0 || rn.Float64() < float64(bm.C)/(float64(dt)+float64(bm.C)) {
 		return bm.uniformOther(rBlock, rn)
@@ -71,13 +71,6 @@ func (bm *Blockmodel) uniformOther(r int32, rn *rng.RNG) int32 {
 		s++
 	}
 	return s
-}
-
-// sampleBlockNeighbor picks the block at the other end of a uniformly
-// random edge incident on block t (an edge counted in row t or column t
-// of M). Requires DTot[t] > 0.
-func (bm *Blockmodel) sampleBlockNeighbor(t int, rn *rng.RNG) int32 {
-	return bm.sampleBlockEdgeEndpoint(t, rn)
 }
 
 // sampleBlockEdgeEndpoint draws x uniform over the DTot[t] edge endpoints
@@ -127,7 +120,8 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 // move, the factor that keeps the Metropolis-Hastings chain reversible
 // under the neighbour-guided proposal. It must be called on the most
 // recent MoveDelta evaluated on its Scratch, before ApplyMove commits
-// it: post-move entries are read as current entries plus edit deltas.
+// it: post-move entries are read as current entries plus edit deltas,
+// and current entries through the lines EvalMove loaded into the Scratch.
 //
 // Following Peixoto (2014):
 //
@@ -157,11 +151,11 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 			return 1
 		}
 		t := vc.deg1T
-		mts := bm.M.Get(int(t), int(s))
-		mst := bm.M.Get(int(s), int(t))
+		mts := sc.mColS.at(t)
+		mst := sc.mRowS.at(t)
 		pFwd := (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
-		mtr := bm.M.Get(int(t), int(r)) + sc.colR.get(t) // M'[t][r]
-		mrt := bm.M.Get(int(r), int(t)) + sc.rowR.get(t) // M'[r][t]
+		mtr := sc.mColR.at(t) + sc.colR.get(t) // M'[t][r]
+		mrt := sc.mRowR.at(t) + sc.rowR.get(t) // M'[r][t]
 		dt := bm.DTot[t]
 		switch t {
 		case r:
@@ -214,8 +208,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		if w == 0 {
 			continue
 		}
-		mts := bm.M.Get(int(t), int(s))
-		mst := bm.M.Get(int(s), int(t))
+		mts := sc.mColS.at(t)
+		mst := sc.mRowS.at(t)
 		pFwd += (float64(w) / kv) * (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
 	}
 	for _, t := range wBwd.keys {
@@ -223,8 +217,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		if w == 0 {
 			continue
 		}
-		mtr := bm.M.Get(int(t), int(r)) + sc.colR.get(t) // M'[t][r]
-		mrt := bm.M.Get(int(r), int(t)) + sc.rowR.get(t) // M'[r][t]
+		mtr := sc.mColR.at(t) + sc.colR.get(t) // M'[t][r]
+		mrt := sc.mRowR.at(t) + sc.rowR.get(t) // M'[r][t]
 		dt := bm.DTot[t]
 		switch t {
 		case r:

@@ -645,10 +645,3 @@ func acceptMove(deltaS, hastings, beta float64, rn *rng.RNG) bool {
 func PartitionBounds(n, ranks, r int) (lo, hi int) {
 	return r * n / ranks, (r + 1) * n / ranks
 }
-
-// Describe returns a short human-readable summary of a phase result.
-func (st PhaseStats) Describe() string {
-	return fmt.Sprintf("%s ranks=%d sweeps=%d accepts=%d/%d traffic=%dB comm/sweep=%s ΔS=%.1f",
-		st.Mode, st.Ranks, st.Sweeps, st.Accepts, st.Proposals,
-		st.TrafficBytes, st.CommPerSweep(), st.FinalS-st.InitialS)
-}

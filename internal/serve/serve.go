@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blockmodel"
 	"repro/internal/graph"
 	"repro/internal/mcmc"
 	"repro/internal/obs"
@@ -252,6 +253,7 @@ type graphState struct {
 	edgeGauge      *obs.Gauge
 	commGauge      *obs.Gauge
 	mdlGauge       *obs.Gauge
+	normMDLGauge   *obs.Gauge
 }
 
 // Server owns the graph registry. Create with New, expose with
@@ -348,6 +350,8 @@ func (s *Server) newGraphState(name string, gc GraphConfig, det *stream.Detector
 		edgeGauge:  reg.Gauge("sbpd_edges", "edges ingested", lbl),
 		commGauge:  reg.Gauge("sbpd_communities", "non-empty communities", lbl),
 		mdlGauge:   reg.Gauge("sbpd_mdl", "description length of the fitted model", lbl),
+		normMDLGauge: reg.Gauge("sbpd_normalized_mdl",
+			"description length over the null model's; >= 1 means no structure found", lbl),
 	}
 	g.ingest = det.Ingest
 	// One root span per graph ties every batch the detector applies
@@ -369,6 +373,7 @@ func (g *graphState) refreshGauges() {
 	g.edgeGauge.Set(float64(snap.Edges))
 	g.commGauge.Set(float64(snap.Blocks))
 	g.mdlGauge.Set(snap.MDL)
+	g.normMDLGauge.Set(blockmodel.NormalizedMDLOf(snap.MDL, snap.Vertices, snap.Edges))
 }
 
 // Register creates a named graph. The registration is checkpointed
@@ -599,24 +604,6 @@ func (s *Server) checkpointGraph(g *graphState) error {
 		return err
 	}
 	return s.policy.WriteStream(g.name, st)
-}
-
-// CheckpointAll durably writes every graph's current state; the first
-// error is returned after all graphs were attempted.
-func (s *Server) CheckpointAll() error {
-	s.mu.RLock()
-	graphs := make([]*graphState, 0, len(s.graphs))
-	for _, g := range s.graphs {
-		graphs = append(graphs, g)
-	}
-	s.mu.RUnlock()
-	var firstErr error
-	for _, g := range graphs {
-		if err := s.checkpointGraph(g); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // Draining reports whether Shutdown has begun.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -434,7 +435,7 @@ func TestServiceResumeRejectsCorruptCheckpoint(t *testing.T) {
 // /metrics through the service handler.
 func TestServiceMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Obs: obs.Obs{Metrics: reg}})
+	s, ts := newTestServer(t, Config{Obs: obs.Obs{Metrics: reg}})
 	if code, _ := do(t, "POST", ts.URL+"/graphs/g", ""); code != 201 {
 		t.Fatal("register failed")
 	}
@@ -458,10 +459,29 @@ func TestServiceMetricsExposition(t *testing.T) {
 		`sbpd_queries_total{graph="g"} 1`,
 		`sbpd_vertices{graph="g"} 3`,
 		`sbpd_partition_age_seconds{graph="g"}`,
+		`sbpd_normalized_mdl{graph="g"}`,
 	} {
 		if !strings.Contains(text, series) {
 			t.Fatalf("/metrics missing %q:\n%s", series, text)
 		}
+	}
+	// The normalized MDL gauge carries the published model's value.
+	g, err := s.lookup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := g.det.Snapshot().Model.NormalizedMDL()
+	const prefix = `sbpd_normalized_mdl{graph="g"} `
+	var got float64
+	for _, ln := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(ln, prefix); ok {
+			if got, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got != want || want <= 0 {
+		t.Fatalf("sbpd_normalized_mdl = %v, want %v (> 0)", got, want)
 	}
 }
 

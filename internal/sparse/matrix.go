@@ -13,6 +13,11 @@
 // merged block and the neighbour-guided proposal walks a block's row
 // and column.
 //
+// In sparse mode Get is a binary search of the row. The proposal kernel
+// does not depend on it being fast: it reads the lines a move or merge
+// touches through Line, copying a sparse line out once per evaluation,
+// and then indexes them.
+//
 // Iteration order is ascending index in BOTH modes. This is a hard
 // guarantee, not an implementation detail: float accumulations over
 // RowNZ/ColNZ (log-likelihood, ΔMDL) must associate identically across
@@ -188,6 +193,25 @@ func (m *Matrix) ColNZ(s int, fn func(r int32, count int64)) {
 	for i, r := range col.keys {
 		fn(r, col.vals[i])
 	}
+}
+
+// Line returns row i (col false) or column i (col true) for reading. In
+// sparse mode idx and counts hold the line's nonzeros by ascending index
+// and stride is 0; in dense mode idx is nil and entry t of the line is
+// counts[t*stride]. The slices alias the matrix: the caller must not
+// write through them, and they are invalid after the next Add.
+func (m *Matrix) Line(i int, col bool) (idx []int32, counts []int64, stride int) {
+	if m.dense != nil {
+		if col {
+			return nil, m.dense[i:], m.c
+		}
+		return nil, m.dense[i*m.c : (i+1)*m.c], 1
+	}
+	l := &m.rows[i]
+	if col {
+		l = &m.cols[i]
+	}
+	return l.keys, l.vals, 0
 }
 
 // RowNZUntil is RowNZ with early exit: iteration stops when fn returns

@@ -133,7 +133,8 @@ type Snapshot struct {
 	FullSearches int
 
 	// Escalations counts the warm increments whose refinement collapsed
-	// to <= 1 block and escalated to a full search.
+	// to <= 1 block, or scored no better than the null model (normalized
+	// MDL >= 1), and escalated to a full search.
 	Escalations int
 
 	// MDL is the description length of the fitted model.
